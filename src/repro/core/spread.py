@@ -32,6 +32,7 @@ index-based maximizer, see DESIGN.md):
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Callable, Hashable, Iterable
 
 from repro.core.credit import DirectCredit, UniformCredit
@@ -42,15 +43,21 @@ from repro.graphs.digraph import SocialGraph
 __all__ = ["CDSpreadEvaluator", "sigma_cd"]
 
 User = Hashable
+Occurrences = dict[User, list[tuple[int, int]]]
 
 
 class CDSpreadEvaluator:
     """Pre-compiled sigma_cd evaluator (a ``SpreadOracle``).
 
     Construction walks the log once, caching per action the chronological
-    list of ``(user, [(influencer, gamma), ...])``; each ``spread`` call
-    is then a linear pass over the cached structure, independent of the
-    social graph.
+    list of ``(user, [(influencer, gamma), ...])``, independent of the
+    social graph.  A ``spread`` call visits only the actions some seed
+    performed, each from its earliest seed on: every other event has
+    ``Gamma_{S,u}(a) = 0`` (credit only flows forward from a seed), so
+    skipping it leaves every sum, and its order, unchanged.  The
+    ``user -> [(action position, event offset), ...]`` index this needs
+    is a derived cache: built on the first query, never pickled, never
+    carried over by :meth:`extend`.
 
     Example
     -------
@@ -60,6 +67,10 @@ class CDSpreadEvaluator:
     >>> round(evaluator.spread(["v"]), 4)
     3.75
     """
+
+    # The occurrence index; the class-level ``None`` also covers
+    # evaluators made by ``extend`` or unpickled.
+    _occurrences: Occurrences | None = None
 
     def __init__(
         self,
@@ -126,6 +137,26 @@ class CDSpreadEvaluator:
         extended._compile_into(graph, log, credit, actions, propagations)
         return extended
 
+    def __getstate__(self) -> dict:
+        # Pickle only the compiled log: stored payload bytes stay those
+        # of an evaluator that never answered a query.
+        state = dict(self.__dict__)
+        state.pop("_occurrences", None)
+        return state
+
+    def _occurrence_index(self) -> Occurrences:
+        """``user -> [(action position, event offset), ...]``, chronological."""
+        index = self._occurrences
+        if index is None:
+            index = {}
+            for position, compiled_action in enumerate(self._compiled):
+                for offset, (user, _) in enumerate(compiled_action):
+                    index.setdefault(user, []).append((position, offset))
+            # Built in a local, published by one assignment: a concurrent
+            # caller sees either no index or a complete one.
+            self._occurrences = index
+        return index
+
     def candidates(self) -> list[User]:
         """Users with at least one action — the useful seed universe."""
         return list(self._activity)
@@ -137,10 +168,19 @@ class CDSpreadEvaluator:
     def kappa(self, seeds: Iterable[User]) -> dict[User, float]:
         """``kappa_{S,u}`` for every user ``u`` in the log."""
         seed_set = set(seeds)
+        index = self._occurrence_index()
+        # Earliest seed offset per action some seed performed.
+        starts: dict[int, int] = {}
+        for seed in seed_set:
+            for position, offset in index.get(seed, ()):
+                if offset < starts.get(position, offset + 1):
+                    starts[position] = offset
         totals: dict[User, float] = {}
-        for compiled_action in self._compiled:
+        for position in sorted(starts):
             gamma_s: dict[User, float] = {}
-            for user, incoming in compiled_action:
+            for user, incoming in islice(
+                self._compiled[position], starts[position], None
+            ):
                 if user in seed_set:
                     credit = 1.0
                 else:
@@ -158,7 +198,7 @@ class CDSpreadEvaluator:
 
     def spread(self, seeds: Iterable[User]) -> float:
         """``sigma_cd(seeds)``: the sum of ``kappa_{S,u}`` over all users."""
-        return sum(self.kappa(seeds).values())
+        return sum(self.kappa(seeds).values(), 0.0)
 
 
 def sigma_cd(

@@ -132,15 +132,20 @@ class ServiceError(ValueError):
 
 
 def _parse_id(value: Any) -> Hashable:
-    """Coerce a JSON seed id to the library's convention (ints stay ints).
+    """Coerce a JSON id to the library's convention (ints stay ints).
 
     String ids go through :func:`repro.data.io.parse_id` — the exact
     rule the TSV loaders apply — so JSON-borne seeds match the ids
-    stored artifacts are keyed by.
+    stored artifacts are keyed by.  Any other JSON value (a float, a
+    bool, null, a list, an object) is no id: a 400 naming it.
     """
     if isinstance(value, str):
         return parse_id(value)
-    return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ServiceError(
+        f"ids must be JSON strings or integers, got {json.dumps(value)}"
+    )
 
 
 class _ServingSlot:
@@ -823,8 +828,6 @@ class QueryService:
         seeds = self._seeds(payload)
         try:
             predicted = self._coalescer.submit(slot, method, seeds)
-            if method == "CD":
-                predicted = float(predicted)
         except ServiceError:
             raise  # queue backpressure / timeout (503) passes through
         except ValueError as error:
@@ -874,8 +877,9 @@ class QueryService:
                     "each tuple must be a [user, action, time] triple"
                 )
             user, action, time = item
+            user, action = _parse_id(user), _parse_id(action)
             try:
-                delta.add(_parse_id(user), _parse_id(action), float(time))
+                delta.add(user, action, float(time))
             except (TypeError, ValueError):
                 raise ServiceError("tuple times must be numbers") from None
         closed = payload.get("closed")

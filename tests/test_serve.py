@@ -125,6 +125,26 @@ class TestQueryService:
         stringly = service.spread({"seeds": ["1", "2"]})
         assert typed["spread"] == stringly["spread"]
 
+    @pytest.mark.parametrize(
+        "bad", [[1, 2], {"a": 1}, True, False, None, 1.5]
+    )
+    @pytest.mark.parametrize("endpoint", ["spread", "predict"])
+    def test_seed_ids_must_be_strings_or_integers(self, service, endpoint, bad):
+        # A list or object used to reach the evaluator and raise an
+        # unhashable-type TypeError (a 500); true was answered as node 1.
+        with pytest.raises(ServiceError) as info:
+            getattr(service, endpoint)({"seeds": [1, bad]})
+        assert info.value.status == 400
+        assert json.dumps(bad) in str(info.value)
+
+    def test_all_inactive_seeds_answer_a_float_zero(self, service):
+        seeds = ["nobody-1", "nobody-2"]
+        spread = service.spread({"seeds": seeds})["spread"]
+        predicted = service.predict({"seeds": seeds, "method": "CD"})
+        assert type(spread) is float and spread == 0.0
+        assert type(predicted["predicted_spread"]) is float
+        assert predicted["predicted_spread"] == 0.0
+
     def test_unknown_selector_rejected(self, service):
         with pytest.raises(ServiceError, match="unknown selector"):
             service.select({"selector": "nope", "k": 1})
@@ -230,6 +250,27 @@ class TestHTTP:
         )
         assert status == 400
         assert "unknown selector" in json.loads(payload)["error"]
+
+    @pytest.mark.parametrize("path", ["/spread", "/predict"])
+    def test_non_scalar_seed_id_is_400(self, server, path):
+        for bad in ([1, 2], {"a": 1}, True):
+            status, payload = self._call(
+                server, "POST", path, {"seeds": [bad]}
+            )
+            assert status == 400, (bad, payload)
+            assert json.dumps(bad) in json.loads(payload)["error"]
+
+    def test_inactive_seeds_spread_is_a_float_over_the_wire(self, server):
+        status, payload = self._call(
+            server, "POST", "/spread", {"seeds": ["nobody"]}
+        )
+        assert status == 200
+        assert '"spread": 0.0' in payload
+        status, payload = self._call(
+            server, "POST", "/predict", {"seeds": ["nobody"], "method": "CD"}
+        )
+        assert status == 200
+        assert '"predicted_spread": 0.0' in payload
 
     def test_malformed_body_is_400(self, server):
         connection = http.client.HTTPConnection(
@@ -439,6 +480,22 @@ class TestIngestWaitSemantics:
         service = QueryService(root)
         with pytest.raises(ServiceError, match="'wait' must be a JSON"):
             service.ingest({**self.PAYLOAD, "wait": bad})
+        assert not service._ingest_active
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"tuples": [[[1], 990, 1.0]]},
+            {"tuples": [[1, True, 1.0]]},
+            {"tuples": [[1, 990, 1.0]], "closed": [{"a": 1}]},
+        ],
+    )
+    def test_ids_must_be_strings_or_integers(self, populated_store, payload):
+        root, _ = populated_store
+        service = QueryService(root)
+        with pytest.raises(ServiceError, match="ids must be JSON strings") as info:
+            service.ingest(payload)
+        assert info.value.status == 400
         assert not service._ingest_active
 
     def test_verify_must_be_a_json_boolean(self, populated_store):
