@@ -99,6 +99,11 @@ class SelectorSpec:
     supports_budget: bool = False
     supports_time_log: bool = False
     stochastic: bool = False
+    # The adapter's bindable keywords, read from its signature once at
+    # construction instead of on every bind.
+    _param_names: tuple[str, ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def capabilities(self) -> dict[str, bool]:
         """The capability flags as one mapping (for listings/export)."""
@@ -113,15 +118,18 @@ class SelectorSpec:
             "stochastic": self.stochastic,
         }
 
-    def param_names(self) -> list[str]:
-        """Keyword parameters the adapter accepts (beyond context, k)."""
+    def __post_init__(self) -> None:
         signature = inspect.signature(self.func)
-        return [
+        object.__setattr__(self, "_param_names", tuple(
             name
             for name, parameter in signature.parameters.items()
             if parameter.kind == inspect.Parameter.KEYWORD_ONLY
             and name not in _INSTRUMENTATION_PARAMS
-        ]
+        ))
+
+    def param_names(self) -> list[str]:
+        """Keyword parameters the adapter accepts (beyond context, k)."""
+        return list(self._param_names)
 
 
 class Selector:
@@ -133,12 +141,11 @@ class Selector:
     """
 
     def __init__(self, spec: SelectorSpec, params: Mapping[str, Any]) -> None:
-        allowed = set(spec.param_names())
-        unknown = sorted(set(params) - allowed)
+        unknown = sorted(set(params).difference(spec._param_names))
         require(
             not unknown,
             f"selector {spec.name!r} got unknown parameter(s) {unknown}; "
-            f"accepted: {sorted(allowed)}",
+            f"accepted: {sorted(spec._param_names)}",
         )
         self.spec = spec
         self.params = dict(params)

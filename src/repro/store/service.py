@@ -60,8 +60,10 @@ response bytes:
   with HTTP 503 instead of stacking unbounded threads (explicit
   backpressure, measured by ``benchmarks/bench_serve_load.py``).
 
-The server is stdlib ``http.server`` (threaded); it is an internal
-query service, not an internet-facing deployment.
+The server is stdlib ``http.server`` (threaded, one thread per
+connection) speaking HTTP/1.1 with persistent connections; a connection
+idle or stalled for ``_Handler.timeout`` seconds is dropped.  It is an
+internal query service, not an internet-facing deployment.
 """
 
 from __future__ import annotations
@@ -1036,6 +1038,18 @@ class _Handler(BaseHTTPRequestHandler):
     service: QueryService  # injected by make_server
     access_log = False  # set by make_server (`repro serve --access-log`)
 
+    # Persistent connections: a client reuses one socket (and one
+    # server thread) for many requests instead of a TCP handshake and a
+    # thread start per request.
+    protocol_version = "HTTP/1.1"
+    # Headers and body go out as two writes; with Nagle's algorithm on,
+    # the body waits for the client's delayed ACK of the headers (about
+    # 40 ms per response on a kept-alive socket).
+    disable_nagle_algorithm = True
+    # Seconds a connection may sit idle, or stall mid-request, before
+    # its thread drops it (``handle_one_request`` catches the timeout).
+    timeout = 30.0
+
     # Quiet: http.server's own lines carry no request ids or latency;
     # the structured access log in _run replaces them when enabled.
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
@@ -1063,6 +1077,8 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("Content-Length", str(len(data)))
             for name, value in (headers or {}).items():
                 self.send_header(name, value)
+            if self.close_connection:
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(data)
         except (BrokenPipeError, ConnectionResetError):
@@ -1108,6 +1124,9 @@ class _Handler(BaseHTTPRequestHandler):
         self._send(200, page.encode("utf-8"), EXPOSITION_CONTENT_TYPE)
 
     def do_GET(self) -> None:  # noqa: N802 (http.server naming)
+        if "Content-Length" in self.headers or "Transfer-Encoding" in self.headers:
+            # A GET body is never read; close before it reads as a request.
+            self.close_connection = True
         if self.path == "/metrics":
             # Not JSON and not counted in its own counters: a scrape
             # that moved the numbers it reports would never settle.
@@ -1133,15 +1152,24 @@ class _Handler(BaseHTTPRequestHandler):
             "/ingest": self.service.ingest,
         }
         handler = routes.get(self.path)
+        # Every early answer closes the connection: an unread body would
+        # otherwise be parsed as the next request on the socket.
         if handler is None:
+            self.close_connection = True
             self._respond(404, {"error": f"unknown path {self.path!r}"})
             return
         try:
+            if "Transfer-Encoding" in self.headers:
+                raise ValueError("send a Content-Length, not a chunked body")
             length = int(self.headers.get("Content-Length", "0"))
+            if length < 0:
+                # rfile.read(-1) would block until the client hangs up.
+                raise ValueError(f"negative Content-Length {length}")
             payload = json.loads(self.rfile.read(length) or b"{}")
             if not isinstance(payload, dict):
                 raise ValueError("request body must be a JSON object")
         except (ValueError, TypeError) as error:
+            self.close_connection = True
             self._respond(400, {"error": f"bad request body: {error}"})
             return
         self._run(handler, payload)

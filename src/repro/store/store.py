@@ -57,6 +57,9 @@ __all__ = [
 _MANIFEST = "manifest.json"
 _PAYLOAD = "payload.bin"
 
+# A manifest's (st_ino, st_size, st_mtime_ns, st_ctime_ns).
+_Signature = tuple[int, int, int, int]
+
 
 class StoreError(Exception):
     """Base class for artifact-store failures."""
@@ -130,6 +133,9 @@ class ArtifactStore:
                 "repro_store_put_total", "Store entry commits"
             )
         self._objects = self.root / "objects"
+        # key -> (manifest stat signature, entry or None if unreadable)
+        # as of this instance's last entries() walk.
+        self._walked: dict[str, tuple[_Signature, StoreEntry | None]] = {}
         if create:
             self._objects.mkdir(parents=True, exist_ok=True)
         elif not self.root.is_dir():
@@ -380,25 +386,57 @@ class ArtifactStore:
     # ------------------------------------------------------------------
     # Enumeration and maintenance
     # ------------------------------------------------------------------
-    def _entry_dirs(self) -> Iterator[Path]:
-        if not self._objects.exists():
+    @staticmethod
+    def _subdirs(path: str) -> list[os.DirEntry]:
+        with os.scandir(path) as listing:
+            found = [item for item in listing if item.is_dir()]
+        return sorted(found, key=lambda item: item.name)
+
+    def _scan_entry_dirs(self) -> Iterator[os.DirEntry]:
+        try:
+            shards = self._subdirs(str(self._objects))
+        except FileNotFoundError:
             return
-        for shard in sorted(self._objects.iterdir()):
-            if not shard.is_dir():
-                continue
-            for directory in sorted(shard.iterdir()):
-                if directory.is_dir():
-                    yield directory
+        for shard in shards:
+            yield from self._subdirs(shard.path)
+
+    def _entry_dirs(self) -> Iterator[Path]:
+        return (Path(item.path) for item in self._scan_entry_dirs())
 
     def entries(self) -> list[StoreEntry]:
-        """Every committed, readable, current-format entry's manifest."""
-        found: list[StoreEntry] = []
-        for directory in self._entry_dirs():
+        """Every committed, readable, current-format entry's manifest.
+
+        One ``stat`` per manifest: a manifest is re-read only when its
+        ``(inode, size, mtime, ctime)`` signature changed since this
+        instance's previous walk.  Every commit ``os.replace``s a fresh
+        temp file, so a write by any process changes the signature and
+        the listing stays exact.  The new map is published by a single
+        assignment, so concurrent walks never see a half-built one.
+        """
+        previous = self._walked
+        walked: dict[str, tuple[_Signature, StoreEntry | None]] = {}
+        for directory in self._scan_entry_dirs():
+            key = directory.name
             try:
-                found.append(self.entry(directory.name))
-            except StoreError:
+                stat = os.stat(os.path.join(directory.path, _MANIFEST))
+            except FileNotFoundError:
                 continue
-        return found
+            signature = (
+                stat.st_ino, stat.st_size, stat.st_mtime_ns, stat.st_ctime_ns
+            )
+            cached = previous.get(key)
+            if cached is not None and cached[0] == signature:
+                walked[key] = cached
+                continue
+            # Read after the stat: a commit landing in between leaves the
+            # older signature cached, so the next walk reads it again.
+            try:
+                entry: StoreEntry | None = self.entry(key)
+            except StoreError:
+                entry = None
+            walked[key] = (signature, entry)
+        self._walked = walked
+        return [entry for _, entry in walked.values() if entry is not None]
 
     def delete(self, key: str) -> None:
         """Remove an entry (manifest first, so readers never see a torn one)."""

@@ -78,6 +78,38 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown parameter"):
             get_selector("cd", warp_factor=9)
 
+    @pytest.mark.parametrize(
+        "name, params, message",
+        [
+            ("cd", {"bogus": 1},
+             "selector 'cd' got unknown parameter(s) ['bogus']; accepted: []"),
+            ("celf", {"zeta": 1, "alpha": 2},
+             "selector 'celf' got unknown parameter(s) ['alpha', 'zeta']; "
+             "accepted: ['method', 'model', 'seed']"),
+            ("ris", {"bogus": 1},
+             "selector 'ris' got unknown parameter(s) ['bogus']; "
+             "accepted: ['hops', 'method', 'num_rr_sets', 'seed']"),
+        ],
+    )
+    def test_unknown_parameter_message_is_pinned(self, name, params, message):
+        with pytest.raises(ValueError) as info:
+            get_selector(name, **params)
+        assert str(info.value) == message
+
+    def test_binding_never_inspects_the_adapter(self, monkeypatch):
+        import repro.api.registry as registry
+
+        def no_signature(*args, **kwargs):
+            raise AssertionError("inspect.signature ran on a bind")
+
+        # Parameter names are read once, when the spec is registered.
+        monkeypatch.setattr(registry.inspect, "signature", no_signature)
+        selector = get_selector("celf", model="ic").with_params(seed=3)
+        assert selector.params == {"model": "ic", "seed": 3}
+        assert selector.spec.param_names() == ["model", "method", "seed"]
+        with pytest.raises(ValueError, match="unknown parameter"):
+            get_selector("celf", warp_factor=9)
+
     def test_bad_family_filter_raises(self):
         with pytest.raises(ValueError, match="family"):
             list_selectors(family="quantum")

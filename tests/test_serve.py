@@ -10,16 +10,27 @@ payloads (the CI smoke job asserts the same over real HTTP).
 
 from __future__ import annotations
 
+import contextlib
 import http.client
 import json
+import shutil
+import socket
 import threading
+import time
 
 import pytest
 
 from repro.api import ExperimentConfig, SelectionContext, run_experiment
 from repro.store import ArtifactStore
+from repro.store.keys import artifact_key
 from repro.store.service import QueryService, ServiceError, make_server
-from repro.store.warm import load_context_record, load_serving_context, warm_start
+from repro.store.warm import (
+    CONTEXT_RECORD,
+    list_context_records,
+    load_context_record,
+    load_serving_context,
+    warm_start,
+)
 
 
 @pytest.fixture(scope="module")
@@ -281,6 +292,258 @@ class TestHTTP:
         assert response.status == 400
         response.read()
         connection.close()
+
+
+@contextlib.contextmanager
+def _serving(root, handler_timeout=None):
+    """A live server over ``root`` (its handler timeout optionally lowered)."""
+    server = make_server(root, port=0)
+    if handler_timeout is not None:
+        # The bound handler class belongs to this server alone.
+        server.RequestHandlerClass.timeout = handler_timeout
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server.server_address[1]
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def _raw_exchange(port, data, timeout=5.0):
+    """Send ``data`` on a fresh socket; all bytes received until EOF.
+
+    A server that leaves the socket open fails the caller with a
+    socket timeout.
+    """
+    with socket.create_connection(("127.0.0.1", port), timeout=timeout) as sock:
+        sock.sendall(data)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+class TestKeepAlive:
+    """HTTP/1.1 persistent connections: one socket, identical bodies."""
+
+    REQUESTS = [
+        ("GET", "/healthz", None),
+        ("POST", "/select", {"selector": "cd", "k": 1}),
+        ("POST", "/select", {"selector": "cd", "k": 3}),
+        ("GET", "/selectors", None),
+        ("POST", "/spread", {"seeds": [1, 2]}),
+        ("GET", "/contexts", None),
+        ("POST", "/predict", {"seeds": [1], "method": "CD"}),
+        ("POST", "/select", {"selector": "high_degree", "k": 2}),
+        ("POST", "/select", {"selector": "nope", "k": 1}),
+        ("GET", "/ingest", None),
+    ] * 2
+
+    @staticmethod
+    def _send(connection, method, path, body):
+        connection.request(
+            method, path, body=None if body is None else json.dumps(body)
+        )
+        response = connection.getresponse()
+        return response.status, response.read()
+
+    def test_twenty_requests_share_one_socket(self, populated_store):
+        root, _ = populated_store
+        with _serving(root) as port:
+            connection = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+            kept, sockets = [], []
+            for method, path, body in self.REQUESTS:
+                kept.append(self._send(connection, method, path, body))
+                sockets.append(connection.sock)
+            connection.close()
+        assert len(kept) == 20
+        assert sockets[0] is not None
+        assert all(sock is sockets[0] for sock in sockets)
+        with _serving(root) as port:
+            fresh = []
+            for method, path, body in self.REQUESTS:
+                connection = http.client.HTTPConnection(
+                    "127.0.0.1", port, timeout=30
+                )
+                fresh.append(self._send(connection, method, path, body))
+                connection.close()
+        assert kept == fresh
+        assert [status for status, _ in kept].count(400) == 2
+
+    def test_kept_alive_responses_are_not_delayed(self, populated_store):
+        # With Nagle's algorithm on, a body written after its headers
+        # waits for the client's delayed ACK: ~40 ms per response.
+        root, _ = populated_store
+        with _serving(root) as port:
+            connection = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+            timings = []
+            for _ in range(11):
+                started = time.perf_counter()
+                self._send(connection, "GET", "/selectors", None)
+                timings.append(time.perf_counter() - started)
+            connection.close()
+        assert sorted(timings)[5] < 0.02
+
+    def test_client_reconnects_after_an_early_answer(self, populated_store):
+        # The 404 closes the socket and says so (Connection: close), so
+        # http.client opens a new one for the next request instead of
+        # failing on the dead one.
+        root, _ = populated_store
+        with _serving(root) as port:
+            connection = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+            status, _ = self._send(connection, "POST", "/nope", {"x": 1})
+            assert status == 404
+            assert connection.sock is None
+            status, _ = self._send(connection, "GET", "/selectors", None)
+            connection.close()
+        assert status == 200
+
+    def test_connection_close_is_honoured(self, populated_store):
+        root, _ = populated_store
+        with _serving(root) as port:
+            data = _raw_exchange(
+                port,
+                b"GET /healthz HTTP/1.1\r\nHost: test\r\n"
+                b"Connection: close\r\n\r\n",
+            )
+        assert data.startswith(b"HTTP/1.1 200")
+        assert data.count(b"HTTP/1.1 ") == 1
+        assert b"Connection: close" in data
+
+
+# A request hidden in a body: if the server kept the connection open
+# after an early answer, it would parse and answer this one too.
+_SMUGGLED = b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n"
+
+
+def _request(head, body=b""):
+    return head + b"\r\nHost: test\r\n" + b"\r\n" + body
+
+
+class TestConnectionHygiene:
+    """Early answers close the socket, so nothing unread is parsed next."""
+
+    @pytest.fixture(scope="class")
+    def port(self, populated_store):
+        root, _ = populated_store
+        with _serving(root) as port:
+            yield port
+
+    @pytest.mark.parametrize(
+        "request_bytes, status, message",
+        [
+            (_request(b"POST /select HTTP/1.1\r\nContent-Length: -1"),
+             b"400", b"negative Content-Length -1"),
+            (_request(b"POST /nope HTTP/1.1\r\nContent-Length: %d"
+                      % len(_SMUGGLED), _SMUGGLED),
+             b"404", b"unknown path"),
+            (_request(b"POST /select HTTP/1.1\r\nContent-Length: 3",
+                      b"[1]" + _SMUGGLED),
+             b"400", b"must be a JSON object"),
+            (_request(b"POST /select HTTP/1.1\r\nContent-Length: ten",
+                      _SMUGGLED),
+             b"400", b"bad request body"),
+            (_request(b"POST /select HTTP/1.1\r\nTransfer-Encoding: chunked",
+                      b"2\r\n{}\r\n0\r\n\r\n"),
+             b"400", b"chunked"),
+            (_request(b"GET /selectors HTTP/1.1\r\nContent-Length: %d"
+                      % len(_SMUGGLED), _SMUGGLED),
+             b"200", b"selectors"),
+        ],
+        ids=["negative-length", "unknown-path", "non-object-body",
+             "unparseable-length", "chunked", "get-with-body"],
+    )
+    def test_answered_once_then_closed(
+        self, port, request_bytes, status, message
+    ):
+        data = _raw_exchange(port, request_bytes)
+        assert data.startswith(b"HTTP/1.1 " + status)
+        assert message in data
+        assert data.count(b"HTTP/1.1 ") == 1
+        assert b"Connection: close" in data
+
+
+class TestHandlerTimeout:
+    """A stalled or idle connection frees its thread after ``timeout``."""
+
+    def test_default_is_far_above_a_benchmark_burst(self):
+        from repro.store.service import _Handler
+
+        assert _Handler.timeout >= 30.0
+
+    def test_stalled_body_is_dropped(self, populated_store, capsys):
+        root, _ = populated_store
+        with _serving(root, handler_timeout=0.5) as port:
+            started = time.monotonic()
+            data = _raw_exchange(
+                port,
+                b"POST /select HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Length: 5\r\n\r\n{\"",
+            )
+            elapsed = time.monotonic() - started
+            # The server still answers on a new connection.
+            healthy = _raw_exchange(
+                port,
+                b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+            )
+        assert data == b""
+        assert 0.4 <= elapsed < 4.0
+        assert healthy.startswith(b"HTTP/1.1 200")
+        # Dropped quietly, not as a request-thread traceback.
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_idle_keep_alive_connection_is_closed(self, populated_store):
+        root, _ = populated_store
+        with _serving(root, handler_timeout=0.5) as port:
+            started = time.monotonic()
+            data = _raw_exchange(
+                port, b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n"
+            )
+            elapsed = time.monotonic() - started
+        assert data.startswith(b"HTTP/1.1 200")
+        assert data.count(b"HTTP/1.1 ") == 1
+        assert 0.4 <= elapsed < 4.0
+
+
+class TestHealthzCountsOtherWriters:
+    """``/healthz`` re-reads only changed manifests, yet ``contexts``
+    stays exact when another store instance (another process, in
+    production) writes the store."""
+
+    def test_contexts_follow_another_instance(self, populated_store, tmp_path):
+        root = tmp_path / "store"
+        shutil.copytree(populated_store[0], root)
+        service = QueryService(str(root))
+        other = ArtifactStore(root, create=False)
+
+        def contexts():
+            counted = service.healthz()["contexts"]
+            assert counted == len(list_context_records(other))
+            return counted
+
+        assert contexts() == 1
+        base = load_context_record(other)
+        added_key = "f" * 32
+        added_record_key = artifact_key(added_key, CONTEXT_RECORD)
+        other.put(
+            added_record_key,
+            {**base, "context_key": added_key},
+            meta={"artifact": CONTEXT_RECORD, "context": added_key},
+        )
+        assert contexts() == 2
+        base_record_key = artifact_key(base["context_key"], CONTEXT_RECORD)
+        manifest = (
+            root / "objects" / base_record_key[:2] / base_record_key
+            / "manifest.json"
+        )
+        manifest.write_bytes(b"garbage")
+        assert contexts() == 1
+        other.delete(added_record_key)
+        assert contexts() == 0
+        assert service.healthz()["status"] == "ok"
 
 
 class TestLRU:

@@ -13,6 +13,7 @@ import json
 import shutil
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +26,7 @@ from repro.store.keys import artifact_key
 from repro.store.prefix import precompute_prefix
 from repro.store.service import QueryService, ServiceError, make_server
 from repro.store.warm import load_context_record, warm_start
+from repro.utils.retry import RetryPolicy
 
 PAYLOAD = {"tuples": [[1, 990, 1.0]]}
 
@@ -265,6 +267,54 @@ class TestRetryAfterOverHttp:
         finally:
             server.shutdown()
             server.server_close()
+
+
+class TestHealthzWithUnreadableStore:
+    """RELIABILITY.md row 15: liveness never fails on a store read."""
+
+    @staticmethod
+    def _healthz_over_http(server):
+        port = server.server_address[1]
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            connection = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+            connection.request("GET", "/healthz")
+            response = connection.getresponse()
+            status, body = response.status, json.loads(response.read())
+            connection.close()
+        finally:
+            server.shutdown()
+            server.server_close()
+        return status, body
+
+    @staticmethod
+    def _assert_degraded(status, body):
+        assert status == 200
+        assert body["contexts"] is None
+        assert body["status"] == "degraded"
+        assert body["degraded"]["store_read_failed"] >= 1
+
+    def test_every_manifest_read_failing(self, template_store):
+        injector = FaultInjector(parse_fault_plan("read:eio@p=1"))
+        server = make_server(
+            template_store,
+            io=injector,
+            retry=RetryPolicy(attempts=2, base_delay_s=0.0),
+        )
+        status, body = self._healthz_over_http(server)
+        self._assert_degraded(status, body)
+        assert body["degraded"]["store_read_retry"] == 2
+
+    def test_listing_failing_after_a_healthy_probe(self, store_copy):
+        server = make_server(store_copy, retry=RetryPolicy(attempts=1))
+        assert server.RequestHandlerClass.service.healthz()["contexts"] == 1
+        # The manifests are now cached; the walk itself must still fail.
+        objects = Path(store_copy) / "objects"
+        objects.rename(objects.with_name("moved"))
+        objects.write_text("not a directory")
+        status, body = self._healthz_over_http(server)
+        self._assert_degraded(status, body)
 
 
 class TestShedLoad:

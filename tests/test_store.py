@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import math
+import threading
+from pathlib import Path
 
 import pytest
 
@@ -18,10 +20,12 @@ from repro.store import (
     context_key,
     fingerprint_dataset,
 )
+from repro.store.io import StoreIO
 from repro.store.serialize import checksum, dump_payload, load_payload
 
 KEY_A = "a" * 32
 KEY_B = "b" * 32
+KEY_C = "c" * 32
 
 
 def _entry_dir(store, key):
@@ -313,3 +317,91 @@ class TestRefreshGenerations:
         assert [item for item in removed if "payload-" in item]
         assert not stale.exists()
         assert store.get(KEY_A) == {"v": 1}
+
+
+class _CountingIO(StoreIO):
+    """Real disk I/O that records the name of every file it reads."""
+
+    def __init__(self) -> None:
+        self.reads: list[str] = []
+
+    def read_bytes(self, path: Path) -> bytes:
+        self.reads.append(Path(path).name)
+        return super().read_bytes(path)
+
+
+class TestEntriesWalk:
+    """``entries()`` stats every manifest but re-reads only changed ones;
+    writes through another instance (another process, in production)
+    show up exactly on the next walk."""
+
+    @staticmethod
+    def _fresh(store):
+        return ArtifactStore(store.root, create=False).entries()
+
+    def test_unchanged_manifests_are_not_reread(self, tmp_path):
+        io = _CountingIO()
+        store = ArtifactStore(tmp_path / "store", io=io)
+        store.put(KEY_A, 1)
+        store.put(KEY_B, 2)
+        io.reads.clear()
+        assert [entry.key for entry in store.entries()] == [KEY_A, KEY_B]
+        assert io.reads == ["manifest.json", "manifest.json"]
+        io.reads.clear()
+        assert store.entries() == self._fresh(store)
+        assert io.reads == []
+        ArtifactStore(store.root).put(KEY_C, 3)
+        assert [entry.key for entry in store.entries()] == [KEY_A, KEY_B, KEY_C]
+        assert io.reads == ["manifest.json"]
+
+    def test_writes_by_another_instance_are_seen(self, tmp_path):
+        store = ArtifactStore(tmp_path / "store")
+        other = ArtifactStore(store.root, create=False)
+        store.put(KEY_A, 1)
+        store.put(KEY_B, 2)
+        assert len(store.entries()) == 2
+        other.put(KEY_A, 5, meta={"note": "refreshed"}, refresh=True)
+        assert store.entries() == self._fresh(store)
+        assert store.entries()[0].meta == {"note": "refreshed"}
+        other.delete(KEY_B)
+        assert [entry.key for entry in store.entries()] == [KEY_A]
+        # External damage written in place (same inode): the size moves.
+        (_entry_dir(store, KEY_A) / "manifest.json").write_text("{not json")
+        assert store.entries() == [] == self._fresh(store)
+        other.put(KEY_A, 1, refresh=True)
+        assert store.entries() == self._fresh(store)
+        assert [entry.key for entry in store.entries()] == [KEY_A]
+
+    def test_stale_format_manifest_stays_skipped_until_rewritten(
+        self, tmp_path
+    ):
+        store = ArtifactStore(tmp_path / "store")
+        store.put(KEY_A, 1)
+        manifest = _entry_dir(store, KEY_A) / "manifest.json"
+        data = json.loads(manifest.read_text())
+        data["format_version"] = -1
+        manifest.write_text(json.dumps(data))
+        assert store.entries() == []
+        assert store.entries() == []
+        store.put(KEY_A, 1, refresh=True)
+        assert [entry.key for entry in store.entries()] == [KEY_A]
+
+    def test_concurrent_walks_return_whole_listings(self, tmp_path):
+        store = ArtifactStore(tmp_path / "store")
+        keys = [f"{index:02x}" * 16 for index in range(12)]
+        for key in keys:
+            store.put(key, key)
+        walker = ArtifactStore(store.root, create=False)
+        listings: list[list[str]] = []
+
+        def walk() -> None:
+            for _ in range(20):
+                listings.append([entry.key for entry in walker.entries()])
+
+        threads = [threading.Thread(target=walk) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(listings) == 80
+        assert all(listing == keys for listing in listings)
